@@ -4,9 +4,9 @@ A :class:`Summary` is one explanation for one ``(request, method, k)`` cell:
 its (multi)set of edges, its node set, and the *constituent paths* it was
 assembled from — ST keeps the metric-closure paths its MST selected, PCST the
 cluster-merge paths, and a baseline keeps its k individual 3-hop paths. The
-constituent paths drive the redundancy metric; the edge multiset drives
-comprehensibility/diversity (for baselines the multiset union of the k paths
-is exactly the ``|E| = 3k`` the paper plots).
+edge multiset drives comprehensibility, diversity and redundancy (for
+baselines the multiset union of the k paths is exactly the ``|E| = 3k`` the
+paper plots); the constituent paths record how the summary was assembled.
 """
 from dataclasses import dataclass
 
@@ -35,6 +35,27 @@ class Summary:
 
 def _norm(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
+
+
+class _DSU:
+    """Lazy union-find; ``union(a, b)`` roots ``a``'s set under ``b``'s root."""
+
+    def __init__(self):
+        self.p: dict[int, int] = {}
+
+    def find(self, x: int) -> int:
+        self.p.setdefault(x, x)
+        while self.p[x] != x:
+            self.p[x] = self.p[self.p[x]]
+            x = self.p[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.p[ra] = rb
+        return True
 
 
 def summary_from_paths(

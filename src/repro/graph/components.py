@@ -43,14 +43,14 @@ def connected_components(
             .select("id", F.least("component", F.coalesce("_nbr", "component")).alias("component"))
             .localCheckpoint(eager=True)
         )
-        changed = (
+        converged = (
             new.alias("n")
             .join(labels.alias("o"), "id")
             .where(F.col("n.component") != F.col("o.component"))
             .isEmpty()
         )
         labels = new
-        if changed:
+        if converged:
             break
     return labels
 

@@ -8,7 +8,21 @@ import os
 
 
 def _driver_mem() -> str:
-    """~75% of the cgroup memory limit (mirrors conftest.py), fallback 48g."""
+    """~75% of the container's memory limit, for the Spark driver JVM.
+
+    Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
+    limit > 48g fallback; ``_SPARK_DRIVER_MEM_SRC`` records which one won.
+    spark.driver.memory is read at JVM launch, not from SparkConf, so it
+    must be in PYSPARK_SUBMIT_ARGS before the first SparkContext exists:
+    the root conftest.py calls this at import, which pytest does before any
+    test module, and :func:`job_session` before building its session. This
+    module imports no pyspark, so importing it never starts a JVM.
+
+    The cgroup read is best-effort: a container runtime's sysfs emulation
+    may not pass the host limit through. An unbounded value (cgroup-v1's
+    ~9.2e18 "unlimited" sentinel, or a missing limit) is treated as absent
+    so the JVM is never handed an impossible heap.
+    """
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m
     for p in (
@@ -20,10 +34,13 @@ def _driver_mem() -> str:
             if not raw or raw == "max":
                 continue
             gib = int(raw) / (1 << 30)
-            if 1 <= gib <= 1024:
-                return f"{max(1, int(gib * 0.75))}g"
+            if not (1 <= gib <= 1024):  # v1 "unlimited" → ~8.6e9 GiB
+                continue
+            os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
+            return f"{max(1, int(gib * 0.75))}g"
         except (OSError, ValueError):
             continue
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
     return "48g"
 
 

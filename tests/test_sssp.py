@@ -3,7 +3,7 @@ import networkx as nx
 import pytest
 from pyspark.sql import functions as F
 
-from repro.graph.sssp import multi_landmark_paths
+from repro.graph.sssp import multi_landmark_paths, voronoi_partition
 from tests.conftest import nx_of, random_kg
 
 
@@ -17,6 +17,18 @@ def _nx_cost(g):
     for a, b, d in g.edges(data=True):
         h.add_edge(a, b, weight=1.0 + d["weight"] / 10.0)
     return h
+
+
+def _nearest_root(spark, edges, sources, *, max_hops):
+    # voronoi_partition on the (sid, landmark) seeds of multi_landmark_paths.
+    terminals = sources.withColumnRenamed("landmark", "terminal")
+    return voronoi_partition(spark, edges, terminals, max_hops=max_hops)
+
+
+# Both entry points of the shared relaxation: per landmark and nearest root.
+BOTH_MODES = pytest.mark.parametrize(
+    "paths_fn", [multi_landmark_paths, _nearest_root], ids=["per_root", "nearest_root"]
+)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -55,19 +67,21 @@ def test_paths_are_valid_walks_with_matching_cost(spark, seed):
         assert total == pytest.approx(r["dist"], abs=1e-9)
 
 
-def test_hop_limit_restricts_reach(spark):
+@BOTH_MODES
+def test_hop_limit_restricts_reach(spark, paths_fn):
     # Path graph 0-1-2-3-4: with max_hops=2 node 4 is unreachable from 0.
     from tests.conftest import make_kg
 
     kg = make_kg(spark, [(i, i + 1, 1.0, "ui") for i in range(4)])
     edges = kg.undirected().select("src", "dst", F.lit(1.0).alias("cost"))
     sources = spark.createDataFrame([(0, 0)], "sid: int, landmark: long")
-    res = multi_landmark_paths(spark, edges, sources, max_hops=2)
+    res = paths_fn(spark, edges, sources, max_hops=2)
     reached = {r["node"] for r in res.collect()}
     assert reached == {0, 1, 2}
 
 
-def test_multiple_sids_are_independent(spark):
+@BOTH_MODES
+def test_multiple_sids_are_independent(spark, paths_fn):
     from tests.conftest import make_kg
 
     kg = make_kg(spark, [(0, 1, 1.0, "ui"), (1, 2, 1.0, "ui")])
@@ -75,7 +89,7 @@ def test_multiple_sids_are_independent(spark):
     sources = spark.createDataFrame(
         [("a", 0), ("b", 2)], "sid: string, landmark: long"
     )
-    res = multi_landmark_paths(spark, edges, sources, max_hops=4)
+    res = paths_fn(spark, edges, sources, max_hops=4)
     rows = {(r["sid"], r["node"]): r["dist"] for r in res.collect()}
     assert rows[("a", 2)] == 2.0 and rows[("b", 0)] == 2.0
     assert ("a", 0) in rows and ("b", 2) in rows
