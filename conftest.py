@@ -1,44 +1,20 @@
 import os
 import sys
 
-from repro.runtime import _driver_mem
+import pytest
+from pyspark.sql import SparkSession
 
-os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
-os.environ.setdefault(
-    "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
-    f"--conf spark.driver.host=127.0.0.1 "
-    f"--conf spark.ui.enabled=false "
-    "pyspark-shell",
-)
-
-import pytest  # noqa: E402
-from pyspark.sql import SparkSession  # noqa: E402
+from repro.runtime import job_session
 
 
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    Built by :func:`repro.runtime.job_session`, so tests run with the same
+    settings as the jobs.
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.ui.showConsoleProgress", "false")
-        .getOrCreate()
-    )
+    s = job_session("repro")
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

@@ -30,7 +30,7 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.scenarios import SummaryRequest
-from repro.core.summary import Summary, _DSU, _norm
+from repro.core.summary import Summary, _DSU, _norm, collect_pairs, tree_summary
 from repro.graph.model import KG
 from repro.graph.sssp import voronoi_partition
 
@@ -111,11 +111,7 @@ def pcst_summaries(
         .agg(F.min(F.struct("cost", "path")).alias("_m"))
         .select("sid", "ra", "rb", F.col("_m.cost").alias("cost"), F.col("_m.path").alias("path"))
     )
-    by_sid: dict[str, list] = defaultdict(list)
-    for r in cand.collect():
-        by_sid[r["sid"]].append(
-            (float(r["cost"]), int(r["ra"]), int(r["rb"]), tuple(int(n) for n in r["path"]))
-        )
+    by_sid = collect_pairs(cand)
 
     out: list[Summary] = []
     for req in requests:
@@ -137,21 +133,6 @@ def pcst_summaries(
                 else dsu.find(centers[0])
             )
             sel_paths = [p for ra, rb, p in accepted if dsu.find(ra) == root]
-            edge_set: set[tuple[int, int]] = set()
-            nodes: set[int] = {t for t in terms_k if dsu.find(t) == root}
-            for p in sel_paths:
-                nodes.update(p)
-                edge_set.update(_norm(x, y) for x, y in zip(p, p[1:]))
-            out.append(
-                Summary(
-                    sid=req.sid,
-                    scenario=req.scenario,
-                    method=method,
-                    k=k,
-                    edges=tuple(sorted(edge_set)),
-                    nodes=frozenset(nodes),
-                    paths=tuple(sel_paths),
-                    terminals=tuple(sorted(terms_k)),
-                )
-            )
+            edge_set = {_norm(x, y) for p in sel_paths for x, y in zip(p, p[1:])}
+            out.append(tree_summary(req, method, k, edge_set, sel_paths, sorted(terms_k), [root]))
     return out

@@ -8,7 +8,8 @@ Stage split between Spark and the driver:
    (see :mod:`repro.graph.sssp`). Paths are carried as array columns, so
    Algorithm 1's "replace closure edge with its shortest path" step is a
    column lookup. Rows are filtered to terminal→terminal pairs *before*
-   collection, so only the O(Σ|T|²) closure reaches the driver.
+   collection, each pair once (the path relaxed from its smaller terminal),
+   so only the O(Σ|T|²) closure reaches the driver.
 2. **MST + unfold + prune (driver)** — per request and cut-off ``k``: Prim
    over the k-restricted closure (O(|T|²), |T| ≤ ~10³), union the selected
    closure paths, re-extract a spanning tree of the union, and repeatedly
@@ -24,8 +25,8 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.scenarios import SummaryRequest
-from repro.core.summary import Summary, _DSU, _norm
-from repro.core.weights import COST_EPS, base_cost_edges, boost_table, w_cap_for
+from repro.core.summary import Summary, _DSU, _norm, collect_pairs, tree_summary
+from repro.core.weights import base_cost_edges, boost_table, w_cap_for
 from repro.graph.model import KG
 from repro.graph.sssp import multi_landmark_paths
 
@@ -85,7 +86,6 @@ def steiner_summaries(
     lam: float,
     ks: list[int] | None = None,
     max_hops: int = 4,
-    eps: float = COST_EPS,
     method: str | None = None,
 ) -> list[Summary]:
     """ST summaries for every request × cut-off in ``ks``.
@@ -100,47 +100,40 @@ def steiner_summaries(
     ks = ks or [k_top]
 
     w_cap = w_cap_for(kg, lam)
-    edges = base_cost_edges(kg, w_cap, eps=eps)
-    boosts = boost_table(spark, kg, requests, lam=lam, w_cap=w_cap, k=k_top, eps=eps)
+    edges = base_cost_edges(kg, w_cap)
+    boosts = boost_table(spark, kg, requests, lam=lam, w_cap=w_cap, k=k_top)
 
     term_rows = [(r.sid, int(t)) for r in requests for t in r.terminals(k_top)]
     sources = spark.createDataFrame(term_rows, "sid: string, landmark: long")
     reach = multi_landmark_paths(spark, edges, sources, max_hops=max_hops, boosts=boosts)
 
-    # Keep only terminal→terminal rows: that's the metric closure.
+    # Keep only terminal→terminal rows, each pair once (relaxed from its
+    # smaller terminal): that's the metric closure.
     members = sources.select("sid", F.col("landmark").alias("node")).distinct()
-    closure_df = reach.join(members, ["sid", "node"]).where(F.col("landmark") != F.col("node"))
-    closure: dict[str, dict[tuple[int, int], tuple[float, tuple[int, ...]]]] = defaultdict(dict)
-    for r in closure_df.collect():
-        key = _norm(int(r["landmark"]), int(r["node"]))
-        cur = closure[r["sid"]].get(key)
-        cand = (float(r["dist"]), tuple(int(n) for n in r["path"]))
-        if cur is None or cand[0] < cur[0] - 1e-12:
-            closure[r["sid"]][key] = cand
+    closure = collect_pairs(
+        reach.join(members, ["sid", "node"])
+        .where(F.col("landmark") < F.col("node"))
+        .select(
+            "sid",
+            F.col("landmark").alias("ra"),
+            F.col("node").alias("rb"),
+            F.col("dist").alias("cost"),
+            "path",
+        )
+    )
 
     out: list[Summary] = []
     for req in requests:
-        pairs = closure.get(req.sid, {})
-        dist = {p: d for p, (d, _) in pairs.items()}
+        cands = closure.get(req.sid, [])
+        dist = {(ra, rb): cost for cost, ra, rb, _ in cands}
+        path_of = {(ra, rb): path for _, ra, rb, path in cands}
         for k in ks:
             terminals = req.terminals(k)
             chosen = _prim(terminals, dist)
-            sel_paths = [pairs[_norm(a, b)][1] for a, b in chosen]
+            sel_paths = [path_of[_norm(a, b)] for a, b in chosen]
             union_edges: set[tuple[int, int]] = set()
             for p in sel_paths:
                 union_edges.update(_norm(a, b) for a, b in zip(p, p[1:]))
             tree = _tree_of_union(union_edges, set(terminals))
-            nodes = {n for e in tree for n in e} | ({terminals[0]} if terminals else set())
-            out.append(
-                Summary(
-                    sid=req.sid,
-                    scenario=req.scenario,
-                    method=method,
-                    k=k,
-                    edges=tuple(sorted(tree)),
-                    nodes=frozenset(nodes),
-                    paths=tuple(sel_paths),
-                    terminals=tuple(terminals),
-                )
-            )
+            out.append(tree_summary(req, method, k, tree, sel_paths, terminals, terminals[:1]))
     return out

@@ -7,8 +7,16 @@ cluster-merge paths, and a baseline keeps its k individual 3-hop paths. The
 edge multiset drives comprehensibility, diversity and redundancy (for
 baselines the multiset union of the k paths is exactly the ``|E| = 3k`` the
 paper plots); the constituent paths record how the summary was assembled.
+
+Both summarizers hand Spark's result to the driver the same way, as one
+``(cost, ra, rb, path)`` candidate per terminal pair (:func:`collect_pairs`),
+and both turn the driver's tree into a :class:`Summary` with
+:func:`tree_summary`.
 """
+from collections import defaultdict
 from dataclasses import dataclass
+
+from pyspark.sql import DataFrame
 
 from repro.core.scenarios import SummaryRequest
 
@@ -56,6 +64,42 @@ class _DSU:
             return False
         self.p[ra] = rb
         return True
+
+
+def collect_pairs(pairs: DataFrame) -> dict[str, list[tuple[float, int, int, tuple[int, ...]]]]:
+    """Per-summary terminal-pair candidates from a ``(sid, ra, rb, cost, path)`` frame.
+
+    The frame holds one row per pair, with ``ra < rb`` and ``path`` joining
+    the two terminals; each becomes ``(cost, ra, rb, path)`` under its sid.
+    """
+    by_sid: dict[str, list] = defaultdict(list)
+    for r in pairs.collect():
+        by_sid[r["sid"]].append(
+            (float(r["cost"]), int(r["ra"]), int(r["rb"]), tuple(int(n) for n in r["path"]))
+        )
+    return by_sid
+
+
+def tree_summary(
+    req: SummaryRequest,
+    method: str,
+    k: int,
+    edges: set[tuple[int, int]],
+    paths: list[tuple[int, ...]],
+    terminals: list[int],
+    anchor: list[int],
+) -> Summary:
+    """A tree summary: its nodes are the edge endpoints, or ``anchor`` when it has no edge."""
+    return Summary(
+        sid=req.sid,
+        scenario=req.scenario,
+        method=method,
+        k=k,
+        edges=tuple(sorted(edges)),
+        nodes=frozenset({n for e in edges for n in e} or anchor),
+        paths=tuple(paths),
+        terminals=tuple(terminals),
+    )
 
 
 def summary_from_paths(

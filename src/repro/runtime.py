@@ -1,8 +1,9 @@
-"""SparkSession bootstrap for `spark-submit` / plain-python job entrypoints.
+"""SparkSession bootstrap for jobs, tests and the benchmark.
 
-Tests use the session fixture in conftest.py; jobs call :func:`job_session`.
-Same settings (local master, disabled broadcast autotuning so shuffle paths
-are exercised, Arrow on) so job results match test expectations.
+Jobs and the test suite's session fixture (the root conftest.py) both call
+:func:`job_session`, so they run with the same settings (local master,
+disabled broadcast autotuning so shuffle paths are exercised, Arrow on) and
+job results match test expectations.
 """
 import os
 
@@ -14,9 +15,8 @@ def _driver_mem() -> str:
     limit > 48g fallback; ``_SPARK_DRIVER_MEM_SRC`` records which one won.
     spark.driver.memory is read at JVM launch, not from SparkConf, so it
     must be in PYSPARK_SUBMIT_ARGS before the first SparkContext exists:
-    the root conftest.py calls this at import, which pytest does before any
-    test module, and :func:`job_session` before building its session. This
-    module imports no pyspark, so importing it never starts a JVM.
+    :func:`job_session` calls this before building its session. This module
+    imports no pyspark, so importing it never starts a JVM.
 
     The cgroup read is best-effort: a container runtime's sysfs emulation
     may not pass the host limit through. An unbounded value (cgroup-v1's

@@ -84,13 +84,26 @@ def test_tree_has_no_nonterminal_leaves(spark, seed):
             assert node in terminals
 
 
-def test_two_terminals_is_shortest_path(spark):
-    kg = make_kg(
-        spark,
-        [(0, 1, 1.0, ETYPE_UI), (1, 2, 1.0, ETYPE_UI), (0, 3, 1.0, ETYPE_UI), (3, 4, 1.0, ETYPE_UI), (4, 2, 1.0, ETYPE_UI)],
-    )
-    (s,) = steiner_summaries(spark, kg, [_req([0, 2])], lam=0.0, max_hops=6)
-    assert set(s.edges) == {(0, 1), (1, 2)}
+@pytest.mark.parametrize(
+    "edges,terminals,expected",
+    [
+        pytest.param(
+            [(0, 1), (1, 2), (0, 3), (3, 4), (4, 2)], [0, 2], {(0, 1), (1, 2)}, id="shorter_route"
+        ),
+        # Two equal routes: the closure keeps the path relaxed from the
+        # smaller terminal, whose tie-break picks the smaller path.
+        pytest.param(
+            [(0, 1), (1, 5), (5, 3), (0, 2), (2, 4), (4, 3)],
+            [0, 3],
+            {(0, 1), (1, 5), (3, 5)},
+            id="equal_routes",
+        ),
+    ],
+)
+def test_two_terminals_is_shortest_path(spark, edges, terminals, expected):
+    kg = make_kg(spark, [(a, b, 1.0, ETYPE_UI) for a, b in edges])
+    (s,) = steiner_summaries(spark, kg, [_req(terminals)], lam=0.0, max_hops=6)
+    assert set(s.edges) == expected
 
 
 def test_high_lambda_reuses_explanation_path(spark):
