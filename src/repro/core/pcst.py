@@ -119,20 +119,18 @@ def pcst_summaries(
         cands = by_sid.get(req.sid, [])
         for k in ks:
             terms_k = set(req.terminals(k))
-            centers = [c for c in req.centers if c in all_terms] or sorted(terms_k)[:1]
+            if not terms_k:  # an empty group: nothing to connect
+                out.append(tree_summary(req, method, k, set(), [], []))
+                continue
             dsu, accepted = _merge_phase(cands, terms_k, all_terms, prize)
             # Pick the component holding the most prize (preferring centers).
             comp_prize: dict[int, float] = defaultdict(float)
             for t in terms_k:
                 comp_prize[dsu.find(t)] += prize
-            for c in centers:
+            for c in req.centers:
                 comp_prize[dsu.find(c)] += 1e-9  # center tie-break
-            root = (
-                max(comp_prize, key=lambda r: (comp_prize[r], -r))
-                if comp_prize
-                else dsu.find(centers[0])
-            )
-            sel_paths = [p for ra, rb, p in accepted if dsu.find(ra) == root]
+            root = max(comp_prize, key=lambda r: (comp_prize[r], -r))
+            sel_paths = [p for ra, _, p in accepted if dsu.find(ra) == root]
             edge_set = {_norm(x, y) for p in sel_paths for x, y in zip(p, p[1:])}
-            out.append(tree_summary(req, method, k, edge_set, sel_paths, sorted(terms_k), [root]))
+            out.append(tree_summary(req, method, k, edge_set, sorted(terms_k), [root]))
     return out

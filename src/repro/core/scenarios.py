@@ -7,12 +7,15 @@ paper exactly — user-centric ``T = {u} ∪ R_u``, item-centric
 and each target/path carries the ``k`` at which it first enters the task, so
 the incremental sweeps (k = 1…10 of the paper's figures) reuse one request.
 
-Requests are built from the recommenders' output DataFrame; the per-user path
-lists are small (``k ≤ 10``), so they are collected to the driver here and
-the heavy lifting (shortest paths over the 10⁶-edge graph) stays in Spark
-inside the summarizers.
+The single-node scenarios are the group scenarios with ``|D| = 1`` (or
+``|F| = 1``), so all four are built by one grouping function. Requests are
+built from the recommenders' output DataFrame; the per-user path lists are
+small (``k ≤ 10``), so they are collected to the driver here and the heavy
+lifting (shortest paths over the 10⁶-edge graph) stays in Spark inside the
+summarizers.
 """
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
@@ -23,7 +26,7 @@ class SummaryRequest:
     """One summarization task across all cut-offs ``k``.
 
     Attributes:
-        sid: stable identifier (e.g. ``"user:17"`` or ``"group:F"``).
+        sid: stable identifier (e.g. ``"user:17"`` or ``"igroup:popular"``).
         scenario: ``user-centric|item-centric|user-group|item-group``.
         centers: always-included terminals (the user u / item i / group D / F).
         targets: ``(k_enter, node)`` — node joins the terminal set at
@@ -53,32 +56,49 @@ class SummaryRequest:
         return [p for ke, p in self.paths if ke <= k]
 
 
-def _collect(paths_df: DataFrame) -> list[tuple[int, int, int, tuple[int, ...]]]:
-    rows = paths_df.select("user", "item", "rank", "path").collect()
-    return sorted(
-        (int(r["user"]), int(r["item"]), int(r["rank"]), tuple(int(n) for n in r["path"]))
-        for r in rows
-    )
+def _grouped(
+    paths_df: DataFrame,
+    centre: str,
+    groups: Iterable[tuple[object, list[int]]] | None,
+    prefix: str,
+    scenario: str,
+) -> list[SummaryRequest]:
+    """One request per ``(gid, members)`` of ``groups``, centred on ``centre``.
+
+    Each ``(user, item, rank, path)`` row is keyed by its ``centre`` column
+    (``"user"`` or ``"item"``); a group's targets are the other endpoints of
+    its members' paths, each at its smallest rank. ``groups=None`` means one
+    singleton group per centre that has a path, in ascending order.
+    """
+    other = "item" if centre == "user" else "user"
+    by_centre: dict[int, list[tuple[int, int, tuple[int, ...]]]] = defaultdict(list)
+    for r in paths_df.select(centre, other, "rank", "path").collect():
+        by_centre[int(r[centre])].append(
+            (int(r["rank"]), int(r[other]), tuple(int(n) for n in r["path"]))
+        )
+    if groups is None:
+        groups = [(c, [c]) for c in sorted(by_centre)]
+    out = []
+    for gid, members in groups:
+        entries = [e for c in members for e in by_centre.get(c, ())]
+        first: dict[int, int] = {}
+        for rank, node, _ in entries:
+            first[node] = min(first.get(node, rank), rank)
+        out.append(
+            SummaryRequest(
+                sid=f"{prefix}:{gid}",
+                scenario=scenario,
+                centers=tuple(sorted(members)),
+                targets=tuple(sorted((ke, n) for n, ke in first.items())),
+                paths=tuple(sorted((rank, p) for rank, _, p in entries)),
+            )
+        )
+    return out
 
 
 def user_centric_requests(paths_df: DataFrame) -> list[SummaryRequest]:
     """One request per user: explain why this user gets their top-k items."""
-    by_user: dict[int, list] = defaultdict(list)
-    for u, i, rank, path in _collect(paths_df):
-        by_user[u].append((rank, i, path))
-    out = []
-    for u in sorted(by_user):
-        entries = sorted(by_user[u])
-        out.append(
-            SummaryRequest(
-                sid=f"user:{u}",
-                scenario="user-centric",
-                centers=(u,),
-                targets=tuple((rank, i) for rank, i, _ in entries),
-                paths=tuple((rank, p) for rank, _, p in entries),
-            )
-        )
-    return out
+    return _grouped(paths_df, "user", None, "user", "user-centric")
 
 
 def item_centric_requests(paths_df: DataFrame, items: list[int]) -> list[SummaryRequest]:
@@ -86,73 +106,18 @@ def item_centric_requests(paths_df: DataFrame, items: list[int]) -> list[Summary
 
     A user enters ``C_i`` at the ``k`` equal to the item's rank in their list.
     """
-    by_item: dict[int, list] = defaultdict(list)
-    for u, i, rank, path in _collect(paths_df):
-        by_item[i].append((rank, u, path))
-    out = []
-    for i in items:
-        entries = sorted(by_item.get(i, []))
-        out.append(
-            SummaryRequest(
-                sid=f"item:{i}",
-                scenario="item-centric",
-                centers=(i,),
-                targets=tuple((rank, u) for rank, u, _ in entries),
-                paths=tuple((rank, p) for rank, _, p in entries),
-            )
-        )
-    return out
+    return _grouped(paths_df, "item", [(i, [i]) for i in items], "item", "item-centric")
 
 
 def user_group_requests(
     paths_df: DataFrame, groups: dict[str, list[int]]
 ) -> list[SummaryRequest]:
     """One request per user group ``D``: terminals ``D ∪ R_D``."""
-    by_user: dict[int, list] = defaultdict(list)
-    for u, i, rank, path in _collect(paths_df):
-        by_user[u].append((rank, i, path))
-    out = []
-    for gid, members in groups.items():
-        targets: dict[int, int] = {}
-        paths = []
-        for u in sorted(members):
-            for rank, i, p in sorted(by_user.get(u, [])):
-                targets[i] = min(targets.get(i, rank), rank)
-                paths.append((rank, p))
-        out.append(
-            SummaryRequest(
-                sid=f"ugroup:{gid}",
-                scenario="user-group",
-                centers=tuple(sorted(members)),
-                targets=tuple(sorted((ke, n) for n, ke in targets.items())),
-                paths=tuple(sorted(paths)),
-            )
-        )
-    return out
+    return _grouped(paths_df, "user", groups.items(), "ugroup", "user-group")
 
 
 def item_group_requests(
     paths_df: DataFrame, groups: dict[str, list[int]]
 ) -> list[SummaryRequest]:
     """One request per item group ``F``: terminals ``F ∪ C_F``."""
-    by_item: dict[int, list] = defaultdict(list)
-    for u, i, rank, path in _collect(paths_df):
-        by_item[i].append((rank, u, path))
-    out = []
-    for gid, members in groups.items():
-        targets: dict[int, int] = {}
-        paths = []
-        for i in sorted(members):
-            for rank, u, p in sorted(by_item.get(i, [])):
-                targets[u] = min(targets.get(u, rank), rank)
-                paths.append((rank, p))
-        out.append(
-            SummaryRequest(
-                sid=f"igroup:{gid}",
-                scenario="item-group",
-                centers=tuple(sorted(members)),
-                targets=tuple(sorted((ke, n) for n, ke in targets.items())),
-                paths=tuple(sorted(paths)),
-            )
-        )
-    return out
+    return _grouped(paths_df, "item", groups.items(), "igroup", "item-group")

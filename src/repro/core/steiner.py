@@ -129,11 +129,10 @@ def steiner_summaries(
         path_of = {(ra, rb): path for _, ra, rb, path in cands}
         for k in ks:
             terminals = req.terminals(k)
-            chosen = _prim(terminals, dist)
-            sel_paths = [path_of[_norm(a, b)] for a, b in chosen]
             union_edges: set[tuple[int, int]] = set()
-            for p in sel_paths:
-                union_edges.update(_norm(a, b) for a, b in zip(p, p[1:]))
+            for a, b in _prim(terminals, dist):
+                p = path_of[_norm(a, b)]
+                union_edges.update(_norm(x, y) for x, y in zip(p, p[1:]))
             tree = _tree_of_union(union_edges, set(terminals))
-            out.append(tree_summary(req, method, k, tree, sel_paths, terminals, terminals[:1]))
+            out.append(tree_summary(req, method, k, tree, terminals, terminals[:1]))
     return out

@@ -1,12 +1,11 @@
 """Summary explanation output type and baseline wrapping.
 
 A :class:`Summary` is one explanation for one ``(request, method, k)`` cell:
-its (multi)set of edges, its node set, and the *constituent paths* it was
-assembled from — ST keeps the metric-closure paths its MST selected, PCST the
-cluster-merge paths, and a baseline keeps its k individual 3-hop paths. The
-edge multiset drives comprehensibility, diversity and redundancy (for
-baselines the multiset union of the k paths is exactly the ``|E| = 3k`` the
-paper plots); the constituent paths record how the summary was assembled.
+its (multi)set of edges, its node set and the terminal set it was built for.
+ST and PCST summaries are trees, whose edges are the selected terminal-pair
+paths unfolded, pruned or merged; a baseline's edges are the multiset union
+of its k individual 3-hop paths, which is exactly the ``|E| = 3k`` the paper
+plots. The edge multiset drives comprehensibility, diversity and redundancy.
 
 Both summarizers hand Spark's result to the driver the same way, as one
 ``(cost, ra, rb, path)`` candidate per terminal pair (:func:`collect_pairs`),
@@ -31,7 +30,6 @@ class Summary:
     k: int
     edges: tuple[tuple[int, int], ...]  # undirected, (min,max); multiset
     nodes: frozenset[int]
-    paths: tuple[tuple[int, ...], ...]  # constituent decomposition
     terminals: tuple[int, ...]  # the terminal set T it was built for
 
     def n_edges(self) -> int:
@@ -85,7 +83,6 @@ def tree_summary(
     method: str,
     k: int,
     edges: set[tuple[int, int]],
-    paths: list[tuple[int, ...]],
     terminals: list[int],
     anchor: list[int],
 ) -> Summary:
@@ -97,23 +94,20 @@ def tree_summary(
         k=k,
         edges=tuple(sorted(edges)),
         nodes=frozenset({n for e in edges for n in e} or anchor),
-        paths=tuple(paths),
         terminals=tuple(terminals),
     )
 
 
 def summary_from_paths(
-    req: SummaryRequest, method: str, k: int, paths: list[tuple[int, ...]], *, dedup: bool
+    req: SummaryRequest, method: str, k: int, paths: list[tuple[int, ...]]
 ) -> Summary:
-    """Build a Summary from constituent paths (dedup=False keeps a multiset)."""
+    """Build a Summary whose edges are the multiset union of ``paths``."""
     edges: list[tuple[int, int]] = []
     nodes: set[int] = set()
     for p in paths:
         nodes.update(p)
         for a, b in zip(p, p[1:]):
             edges.append(_norm(a, b))
-    if dedup:
-        edges = sorted(set(edges))
     return Summary(
         sid=req.sid,
         scenario=req.scenario,
@@ -121,7 +115,6 @@ def summary_from_paths(
         k=k,
         edges=tuple(edges),
         nodes=frozenset(nodes),
-        paths=tuple(tuple(p) for p in paths),
         terminals=tuple(req.terminals(k)),
     )
 
@@ -137,6 +130,5 @@ def baseline_summaries(
     out = []
     for req in requests:
         for k in ks:
-            paths = req.paths_at(k)
-            out.append(summary_from_paths(req, method, k, paths, dedup=False))
+            out.append(summary_from_paths(req, method, k, req.paths_at(k)))
     return out

@@ -11,10 +11,10 @@ The paper's claim under test: ST's cost grows with the number of terminals
 |T| while PCST's one-Voronoi-pass cost does not.
 """
 import time
-from dataclasses import dataclass
 
 import pandas as pd
 from pyspark.sql import SparkSession
+from pyspark.sql import functions as F
 
 from repro.core import (
     pcst_summaries,
@@ -22,7 +22,7 @@ from repro.core import (
     user_centric_requests,
     user_group_requests,
 )
-from repro.kg.synth_graphs import TABLE3_GRAPHS, synth_graph
+from repro.kg.synth_graphs import synth_graph
 from repro.recommenders import random_walker
 
 
@@ -58,18 +58,10 @@ def run_scalability(
     paths = random_walker(spark, base.kg, base.ids, users, k=10, seed=seed)
     paths.cache().count()
 
-    uc_all = user_centric_requests(paths)
-    uc = [r for r in uc_all if r.sid in {f"user:{u}" for u in users[:n_users]}]
+    sids = {f"user:{u}" for u in users[:n_users]}
     for k in ks:  # Fig. 9: vary k (terminals per user-centric request)
-        cut = [
-            type(r)(
-                sid=r.sid, scenario=r.scenario, centers=r.centers,
-                targets=tuple(t for t in r.targets if t[0] <= k),
-                paths=tuple(p for p in r.paths if p[0] <= k),
-            )
-            for r in uc
-        ]
-        st, pc = _measure(spark, base.kg, cut)
+        cut = user_centric_requests(paths.where(F.col("rank") <= k))
+        st, pc = _measure(spark, base.kg, [r for r in cut if r.sid in sids])
         rows.append(("user-centric-vs-k", graphs[0], k, st, pc))
 
     for gs in group_sizes:  # Fig. 10: vary group size

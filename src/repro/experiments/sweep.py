@@ -14,7 +14,7 @@ Method labels are ``<baseline>`` for the raw path sets and
 ``<baseline>+st(lam=X)`` / ``<baseline>+pcst`` for summaries of that
 baseline's paths, so every figure's series can be pivoted from one frame.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -29,7 +29,7 @@ from repro.core import (
     user_centric_requests,
     user_group_requests,
 )
-from repro.kg.datasets import Dataset, dataset_kg, ml1m
+from repro.kg.datasets import Dataset, dataset_kg, lfm1m, ml1m
 from repro.metrics.quality import compute_quality
 from repro.recommenders import BASELINES
 
@@ -108,8 +108,6 @@ def run_sweep(spark: SparkSession, cfg: SweepConfig = SweepConfig()) -> pd.DataF
     if cfg.dataset == "ml1m":
         ds = ml1m(scale=cfg.scale, seed=cfg.seed)
     else:
-        from repro.kg.datasets import lfm1m
-
         ds = lfm1m(scale=cfg.scale, seed=cfg.seed)
     kg = dataset_kg(spark, ds)
     kg.edges.cache().count()

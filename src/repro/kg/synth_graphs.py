@@ -9,11 +9,11 @@ same code cheaply.
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.graph.model import KG
 from repro.kg.build import IdSpace, build_kg
+from repro.kg.datasets import _sample_distinct_pairs
 
 # Paper Table III, verbatim: (users, items, external, total_edges).
 TABLE3_GRAPHS: dict[int, tuple[int, int, int, int]] = {
@@ -47,8 +47,6 @@ def synth_graph(
     graph *density* is preserved at any scale (shrinking nodes shrinks the
     pair capacity quadratically). ``scale = 1`` matches the table verbatim.
     """
-    from repro.kg.datasets import _sample_distinct_pairs
-
     nu, ni, ne, n_edges = TABLE3_GRAPHS[which]
     nu = max(4, int(nu * scale))
     ni = max(4, int(ni * scale))

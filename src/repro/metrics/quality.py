@@ -27,6 +27,14 @@ from repro.core.summary import Summary
 from repro.graph.model import KG, NTYPE_ITEM, NTYPE_USER
 
 
+# Explicit, so that a batch with no edge or no node still gets typed frames.
+_SCHEMAS = {
+    "meta": "rid: string, sid: string, scenario: string, method: string, k: long",
+    "edges": "rid: string, src: long, dst: long",
+    "nodes": "rid: string, node: long",
+}
+
+
 def summary_frames(summaries: list[Summary]) -> dict[str, pd.DataFrame]:
     """Long-format pandas frames (meta, edges, nodes) for a batch."""
     meta, edges, nodes = [], [], []
@@ -154,17 +162,11 @@ def compute_quality(
     series, where S_{k+1} does not exist).
     """
     frames = summary_frames(summaries)
-    meta = spark.createDataFrame(frames["meta"])
-    empty = frames["edges"].empty  # all-singleton batch (degenerate but legal)
-    edges = spark.createDataFrame(frames["edges"]) if not empty else None
-    nodes = spark.createDataFrame(frames["nodes"])
+    meta = spark.createDataFrame(frames["meta"], _SCHEMAS["meta"])
+    edges = spark.createDataFrame(frames["edges"], _SCHEMAS["edges"])
+    nodes = spark.createDataFrame(frames["nodes"], _SCHEMAS["nodes"])
 
-    res = meta
-    if edges is not None:
-        res = res.join(_edge_metrics(spark, kg, edges), "rid", "left")
-    else:
-        for c in ["n_edges", "relevance", "diversity", "comprehensibility", "redundancy"]:
-            res = res.withColumn(c, F.lit(0.0))
+    res = meta.join(_edge_metrics(spark, kg, edges), "rid", "left")
     res = res.join(_node_metrics(spark, kg, nodes), "rid", "left")
     cons = _consistency(spark, meta, nodes)
     res = res.join(cons, ["sid", "method", "k"], "left")

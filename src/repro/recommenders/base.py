@@ -67,50 +67,34 @@ def recommend_paths(
     )
     hop1 = _top(hop1, ["user"], [F.desc("s1"), F.asc("item1")], b1)
 
+    def rev(t: DataFrame) -> DataFrame:
+        return t.select(F.col("dst").alias("src"), F.col("src").alias("dst"), "weight")
+
+    # Per family: (hop-2 table, hop-3 table, seed offset of hop 2).
+    metapaths = {"ie": (ie, rev(ie), 2), "uu": (rev(ui), ui, 4)}
     legs = []
-    if "ie" in families:
-        h2 = hop1.join(ie.alias("e2"), F.col("item1") == F.col("e2.src")).select(
+    for family, (t2, t3, off) in metapaths.items():
+        if family not in families:
+            continue
+        h2 = hop1.join(t2.alias("e2"), F.col("item1") == F.col("e2.src"))
+        if family == "uu":  # the co-watcher is another user
+            h2 = h2.where(F.col("e2.dst") != F.col("user"))
+        h2 = h2.select(
             "user",
             "item1",
             F.col("e2.dst").alias("mid"),
-            (F.col("s1") + sc(2, F.col("e2.weight"), "user", "item1", "e2.dst")).alias("s2"),
+            (F.col("s1") + sc(off, F.col("e2.weight"), "user", "item1", "e2.dst")).alias("s2"),
         )
         h2 = _top(h2, ["user", "item1"], [F.desc("s2"), F.asc("mid")], b2)
-        ie_rev = ie.select(F.col("dst").alias("src"), F.col("src").alias("dst"), "weight")
         h3 = (
-            h2.join(ie_rev.alias("e3"), F.col("mid") == F.col("e3.src"))
+            h2.join(t3.alias("e3"), F.col("mid") == F.col("e3.src"))
             .where(F.col("e3.dst") != F.col("item1"))
             .select(
                 "user",
                 "item1",
                 "mid",
                 F.col("e3.dst").alias("item2"),
-                (F.col("s2") + sc(3, F.col("e3.weight"), "user", "mid", "e3.dst")).alias("s"),
-            )
-        )
-        legs.append(_top(h3, ["user", "item1", "mid"], [F.desc("s"), F.asc("item2")], b3))
-    if "uu" in families:
-        ui_rev = ui.select(F.col("dst").alias("src"), F.col("src").alias("dst"), "weight")
-        h2 = (
-            hop1.join(ui_rev.alias("u2"), F.col("item1") == F.col("u2.src"))
-            .where(F.col("u2.dst") != F.col("user"))
-            .select(
-                "user",
-                "item1",
-                F.col("u2.dst").alias("mid"),
-                (F.col("s1") + sc(4, F.col("u2.weight"), "user", "item1", "u2.dst")).alias("s2"),
-            )
-        )
-        h2 = _top(h2, ["user", "item1"], [F.desc("s2"), F.asc("mid")], b2)
-        h3 = (
-            h2.join(ui.alias("u3"), F.col("mid") == F.col("u3.src"))
-            .where(F.col("u3.dst") != F.col("item1"))
-            .select(
-                "user",
-                "item1",
-                "mid",
-                F.col("u3.dst").alias("item2"),
-                (F.col("s2") + sc(5, F.col("u3.weight"), "user", "mid", "u3.dst")).alias("s"),
+                (F.col("s2") + sc(off + 1, F.col("e3.weight"), "user", "mid", "e3.dst")).alias("s"),
             )
         )
         legs.append(_top(h3, ["user", "item1", "mid"], [F.desc("s"), F.asc("item2")], b3))

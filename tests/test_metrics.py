@@ -3,6 +3,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core import pcst_summaries, steiner_summaries, user_group_requests
 from repro.core.scenarios import SummaryRequest
 from repro.core.summary import Summary, summary_from_paths
 from repro.graph.model import ETYPE_IE, ETYPE_UI, NTYPE_EXT, NTYPE_ITEM, NTYPE_USER
@@ -26,7 +27,7 @@ def kg(spark):
     return make_kg(spark, EDGES, NTYPES)
 
 
-def _summary(method="st", k=1, edges=((0, 1), (1, 3), (3, 4)), paths=((0, 1, 3, 4),), sid="user:0"):
+def _summary(method="st", k=1, edges=((0, 1), (1, 3), (3, 4)), sid="user:0"):
     nodes = frozenset(n for e in edges for n in e)
     return Summary(
         sid=sid,
@@ -35,7 +36,6 @@ def _summary(method="st", k=1, edges=((0, 1), (1, 3), (3, 4)), paths=((0, 1, 3, 
         k=k,
         edges=tuple(edges),
         nodes=nodes,
-        paths=tuple(paths),
         terminals=(0, 4),
     )
 
@@ -44,13 +44,12 @@ def _summary(method="st", k=1, edges=((0, 1), (1, 3), (3, 4)), paths=((0, 1, 3, 
 def scored(spark, kg):
     summaries = [
         _summary(k=1),
-        _summary(k=2, edges=((0, 1), (0, 2), (1, 3), (2, 3), (3, 4)), paths=((0, 1, 3, 4), (0, 2, 3, 4))),
+        _summary(k=2, edges=((0, 1), (0, 2), (1, 3), (2, 3), (3, 4))),
         # a baseline-style multiset summary with a repeated edge
         _summary(
             method="bl",
             k=1,
             edges=((0, 1), (1, 3), (0, 1), (1, 3), (3, 4)),
-            paths=((0, 1, 3), (0, 1, 3, 4)),
         ),
     ]
     return summaries, compute_quality(spark, kg, summaries)
@@ -125,7 +124,7 @@ def test_consistency_matches_reference(scored):
 
 
 def test_hallucinated_edges_score_zero_relevance(spark, kg):
-    s = _summary(edges=((0, 1), (1, 4)), paths=((0, 1, 4),))  # 1-4 not in KG
+    s = _summary(edges=((0, 1), (1, 4)))  # 1-4 not in KG
     pdf = compute_quality(spark, kg, [s])
     assert pdf.iloc[0]["relevance"] == pytest.approx(4.0)
 
@@ -189,7 +188,20 @@ def test_summary_from_paths_dedup_and_multiset():
     req = SummaryRequest(
         sid="user:0", scenario="user-centric", centers=(0,), targets=((1, 3),), paths=((1, (0, 1, 3)),)
     )
-    multi = summary_from_paths(req, "bl", 1, [(0, 1, 3), (0, 1, 3)], dedup=False)
-    dedup = summary_from_paths(req, "st", 1, [(0, 1, 3), (0, 1, 3)], dedup=True)
-    assert len(multi.edges) == 4 and len(dedup.edges) == 2
-    assert multi.nodes == dedup.nodes == frozenset({0, 1, 3})
+    multi = summary_from_paths(req, "bl", 1, [(0, 1, 3), (0, 1, 3)])
+    assert len(multi.edges) == 4
+    assert multi.nodes == frozenset({0, 1, 3})
+
+
+def test_empty_group_summaries_score_zero(spark, kg):
+    paths = spark.createDataFrame(
+        [(0, 4, 1, [0, 1, 3, 4])], "user: long, item: long, rank: int, path: array<long>"
+    )
+    (req,) = user_group_requests(paths, {"g": []})
+    summaries = steiner_summaries(spark, kg, [req], lam=1.0) + pcst_summaries(spark, kg, [req])
+    assert [s.method for s in summaries] == ["st(lam=1)", "pcst"]
+    assert all(s.edges == () and s.nodes == frozenset() for s in summaries)
+    pdf = compute_quality(spark, kg, summaries)
+    assert len(pdf) == 2
+    metrics = pdf.drop(columns=["rid", "sid", "scenario", "method", "k", "consistency"])
+    assert (metrics == 0.0).all().all()

@@ -168,18 +168,18 @@ def test_idspace_ntype_partitions(nu, ni, ne, node):
 
 # --- reference metric formulas --------------------------------------------
 
-def _mk(edges, paths=()):
+def _mk(edges):
     return Summary(
         sid="x", scenario="s", method="m", k=1,
         edges=tuple(edges), nodes=frozenset(n for e in edges for n in e),
-        paths=tuple(paths), terminals=(),
+        terminals=(),
     )
 
 
 @given(random_paths())
 def test_reference_metrics_ranges(paths):
     req = SummaryRequest(sid="x", scenario="s", centers=(0,), targets=(), paths=())
-    s = summary_from_paths(req, "m", 1, [p for p in paths], dedup=False)
+    s = summary_from_paths(req, "m", 1, [p for p in paths])
     assert 0 <= ref.diversity(s) <= 1
     assert 0 <= ref.redundancy(s) < 1
     c = ref.comprehensibility(s)
